@@ -134,66 +134,144 @@ type plan_row = {
 
 let plan_rows : plan_row list ref = ref []
 
+(* BENCH_campaign.json accumulates across bench invocations: [modes]
+   rows are replaced by their (sut, mode, jobs) key, any other array
+   only when this run produced rows for it, and every other field of
+   the existing file is carried over — so [bench perf] and [bench
+   scaling …] run one after the other keep each other's rows. *)
 let write_bench_json () =
   if
     !bench_rows <> [] || !model_rows <> [] || !service_rows <> []
     || !plan_rows <> []
   then begin
+    let module J = Propane_service.Json in
+    let int n = J.Num (float_of_int n) in
+    let fixed digits x =
+      let scale = 10. ** float_of_int digits in
+      J.Num (Float.round (x *. scale) /. scale)
+    in
     let row r =
-      Printf.sprintf
-        {|    {"sut":"%s","mode":"%s","cores_requested":%d,"cores_effective":%d,"jobs":%d,"oversubscribed":%b,"runs":%d,"seconds":%.3f,"runs_per_sec":%.1f}|}
-        r.row_sut r.row_mode r.row_jobs r.row_cores r.row_jobs
-        r.row_oversubscribed r.row_runs r.row_seconds (runs_per_sec r)
+      J.Obj
+        [
+          ("sut", J.Str r.row_sut);
+          ("mode", J.Str r.row_mode);
+          ("cores_requested", int r.row_jobs);
+          ("cores_effective", int r.row_cores);
+          ("jobs", int r.row_jobs);
+          ("oversubscribed", J.Bool r.row_oversubscribed);
+          ("runs", int r.row_runs);
+          ("seconds", fixed 3 r.row_seconds);
+          ("runs_per_sec", fixed 1 (runs_per_sec r));
+        ]
     in
     let model_json m =
       let est (name, (e : Propagation.Estimate.t), resolved) =
-        Printf.sprintf
-          {|{"module":"%s","p_rel":%.4f,"lo":%.4f,"hi":%.4f,"resolved":%b}|}
-          name e.Propagation.Estimate.value e.lo e.hi resolved
+        J.Obj
+          [
+            ("module", J.Str name);
+            ("p_rel", fixed 4 e.Propagation.Estimate.value);
+            ("lo", fixed 4 e.lo);
+            ("hi", fixed 4 e.hi);
+            ("resolved", J.Bool resolved);
+          ]
       in
-      Printf.sprintf
-        {|    {"model":"%s","runs":%d,"tau_vs_single_bit":%.3f,"ranking":[%s]}|}
-        m.m_spec m.m_runs m.m_tau
-        (String.concat "," (List.map est m.m_estimates))
+      J.Obj
+        [
+          ("model", J.Str m.m_spec);
+          ("runs", int m.m_runs);
+          ("tau_vs_single_bit", fixed 3 m.m_tau);
+          ("ranking", J.List (List.map est m.m_estimates));
+        ]
     in
     let service_json s =
-      Printf.sprintf
-        {|    {"campaigns":%d,"workers":%d,"modules":%d,"runs":%d,"seconds":%.3f,"runs_per_sec":%.1f,"submit_to_first_result_s":%.4f}|}
-        s.s_campaigns s.s_workers s.s_modules s.s_runs s.s_seconds
-        (if s.s_seconds > 0.0 then float_of_int s.s_runs /. s.s_seconds
-         else 0.0)
-        s.s_first_result_s
+      J.Obj
+        [
+          ("campaigns", int s.s_campaigns);
+          ("workers", int s.s_workers);
+          ("modules", int s.s_modules);
+          ("runs", int s.s_runs);
+          ("seconds", fixed 3 s.s_seconds);
+          ( "runs_per_sec",
+            fixed 1
+              (if s.s_seconds > 0.0 then float_of_int s.s_runs /. s.s_seconds
+               else 0.0) );
+          ("submit_to_first_result_s", fixed 4 s.s_first_result_s);
+        ]
     in
     let plan_json p =
-      Printf.sprintf
-        {|    {"sut":"layered","mode":"%s","budget":%d,"runs":%d,"rounds":%d,"resolved":%b,"ratio_vs_uniform":%.3f}|}
-        p.p_mode p.p_budget p.p_runs p.p_rounds p.p_resolved p.p_ratio
+      J.Obj
+        [
+          ("sut", J.Str "layered");
+          ("mode", J.Str p.p_mode);
+          ("budget", int p.p_budget);
+          ("runs", int p.p_runs);
+          ("rounds", int p.p_rounds);
+          ("resolved", J.Bool p.p_resolved);
+          ("ratio_vs_uniform", fixed 3 p.p_ratio);
+        ]
     in
-    let oc = open_out "BENCH_campaign.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"campaign\": \"scaling-matrix\",\n\
-      \  \"nproc\": %d,\n\
-      \  \"git_rev\": \"%s\",\n\
-      \  \"modes\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"service\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"plan\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      nproc (Lazy.force git_rev)
-      (String.concat ",\n" (List.map row !bench_rows))
-      (String.concat ",\n" (List.map model_json !model_rows))
-      (String.concat ",\n" (List.map service_json !service_rows))
-      (String.concat ",\n" (List.map plan_json !plan_rows));
-    close_out oc;
+    let path = "BENCH_campaign.json" in
+    let existing =
+      match In_channel.with_open_bin path In_channel.input_all with
+      | text -> (
+          match J.parse text with Ok (J.Obj fields) -> fields | _ -> [])
+      | exception Sys_error _ -> []
+    in
+    let old_rows key =
+      match List.assoc_opt key existing with Some (J.List l) -> l | _ -> []
+    in
+    let mode_key r =
+      (J.member "sut" r, J.member "mode" r, J.member "jobs" r)
+    in
+    let same a b = mode_key a = mode_key b in
+    let fresh_modes = List.map row !bench_rows in
+    let kept_modes = old_rows "modes" in
+    (* Replaced rows keep their place; new keys go last. *)
+    let modes =
+      List.map
+        (fun old ->
+          Option.value ~default:old (List.find_opt (same old) fresh_modes))
+        kept_modes
+      @ List.filter
+          (fun r -> not (List.exists (same r) kept_modes))
+          fresh_modes
+    in
+    let array key rows to_json =
+      (key, if rows = [] then old_rows key else List.map to_json rows)
+    in
+    let arrays =
+      [
+        ("modes", modes);
+        array "models" !model_rows model_json;
+        array "service" !service_rows service_json;
+        array "plan" !plan_rows plan_json;
+      ]
+    in
+    let ours = [ "campaign"; "nproc"; "git_rev" ] @ List.map fst arrays in
+    let fields =
+      [
+        ("campaign", J.Str "scaling-matrix");
+        ("nproc", int nproc);
+        ("git_rev", J.Str (Lazy.force git_rev));
+      ]
+      @ List.map (fun (k, rows) -> (k, J.List rows)) arrays
+      @ List.filter (fun (k, _) -> not (List.mem k ours)) existing
+    in
+    (* One row per line keeps the committed file diffable. *)
+    let field (k, v) =
+      let value =
+        match v with
+        | J.List (_ :: _ as rows) ->
+            "[\n    "
+            ^ String.concat ",\n    " (List.map J.to_string rows)
+            ^ "\n  ]"
+        | v -> J.to_string v
+      in
+      Printf.sprintf "  %s: %s" (J.to_string (J.Str k)) value
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          ("{\n" ^ String.concat ",\n" (List.map field fields) ^ "\n}\n"));
     print_endline "wrote BENCH_campaign.json"
   end
 
@@ -935,22 +1013,23 @@ let perf () =
         results)
     tests;
   (* Whole-campaign throughput: the streaming observer pipeline versus
-     the legacy record-everything data path (--keep-traces).  Outcomes
-     are identical either way — only the cost differs. *)
+     the recorded data path, where every run keeps its full traces for
+     [on_run_traces] (what replay --keep-traces uses).  Outcomes are
+     identical either way — only the cost differs.  The recorded row
+     keeps the "keep-traces" label so its history stays comparable. *)
   let throughput_campaign = throughput_campaign () in
-  let time_campaign ~keep_traces =
+  let time_campaign ?on_run_traces () =
     let t0 = Unix.gettimeofday () in
     let r =
       Propane.Runner.run
         ~config:
-          (Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ~jobs
-             ~keep_traces ())
-        sut throughput_campaign
+          (Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ~jobs ())
+        ?on_run_traces sut throughput_campaign
     in
     (r, Unix.gettimeofday () -. t0)
   in
-  let streaming, t_stream = time_campaign ~keep_traces:false in
-  let kept, t_keep = time_campaign ~keep_traces:true in
+  let streaming, t_stream = time_campaign () in
+  let kept, t_keep = time_campaign ~on_run_traces:(fun ~index:_ _ -> ()) () in
   if Propane.Results.outcomes streaming <> Propane.Results.outcomes kept then
     failwith "perf: streaming and keep-traces outcomes differ";
   let runs = List.length (Propane.Campaign.experiments throughput_campaign) in
@@ -962,7 +1041,7 @@ let perf () =
   Printf.printf "  streaming      %10.1f runs/s  (%.2f s)\n"
     (float_of_int runs /. t_stream)
     t_stream;
-  Printf.printf "  --keep-traces  %10.1f runs/s  (%.2f s, %.2fx slower)\n"
+  Printf.printf "  recorded       %10.1f runs/s  (%.2f s, %.2fx slower)\n"
     (float_of_int runs /. t_keep)
     t_keep (t_keep /. t_stream)
 

@@ -208,16 +208,6 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-let keep_traces_arg =
-  let doc =
-    "Record full per-run traces instead of streaming each run through the \
-     observer pipeline (see Propane.Observer).  Results are identical; \
-     streaming is faster and uses constant per-run memory, this flag \
-     restores the legacy record-everything data path for debugging or \
-     cost comparison."
-  in
-  Arg.(value & flag & info [ "keep-traces" ] ~doc)
-
 let run_timeout_arg =
   let doc =
     "Wall-clock watchdog per injection run, in milliseconds: a run over \
@@ -545,20 +535,14 @@ let run_cluster_campaign ~recipe ~sut ~campaign ~config ~on_event ~workers
         ~campaign:campaign.Propane.Campaign.name ~total ())
 
 let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
-    ~jobs ~journal ~resume ~journal_batch ~telemetry ~keep_traces
-    ~run_timeout_ms ~retries ~fail_fast ~chaos_crash ~chaos_hang ~workers
-    ~listen ~chaos_kill ~stop_when ~reuse ~budget ~plan_mode () =
+    ~jobs ~journal ~resume ~journal_batch ~telemetry ~run_timeout_ms ~retries
+    ~fail_fast ~chaos_crash ~chaos_hang ~workers ~listen ~chaos_kill
+    ~stop_when ~reuse ~budget ~plan_mode () =
   if resume && journal = None then begin
     prerr_endline "propane campaign: --resume requires --journal";
     exit 1
   end;
   let cluster = workers > 0 || listen <> None in
-  if cluster && keep_traces then begin
-    prerr_endline
-      "propane campaign: --keep-traces is unavailable with --workers/--listen \
-       (traces stay inside the worker processes)";
-    exit 1
-  end;
   if cluster && jobs <> 1 then begin
     prerr_endline
       "propane campaign: --jobs parallelises in-process domains; it cannot \
@@ -581,7 +565,7 @@ let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
         (if run_timeout_ms <= 0 then None else Some run_timeout_ms)
       ~retries ~fail_fast
       ~jobs:(if cluster then max workers 1 else jobs)
-      ?journal ~resume ~journal_batch ~keep_traces ?stop_when ?budget
+      ?journal ~resume ~journal_batch ?stop_when ?budget
       ~plan:plan_mode ()
   in
   let recipe =
@@ -937,14 +921,14 @@ let analyze_cmd =
 
 let campaign_cmd =
   let run () cases times full model seed window progress jobs journal resume
-      journal_batch telemetry keep_traces run_timeout_ms retries fail_fast
-      chaos_crash chaos_hang workers listen chaos_kill stop_when ci save reuse
-      budget plan_mode =
+      journal_batch telemetry run_timeout_ms retries fail_fast chaos_crash
+      chaos_hang workers listen chaos_kill stop_when ci save reuse budget
+      plan_mode =
     let results, analysis =
       run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
-        ~jobs ~journal ~resume ~journal_batch ~telemetry ~keep_traces
-        ~run_timeout_ms ~retries ~fail_fast ~chaos_crash ~chaos_hang ~workers
-        ~listen ~chaos_kill ~stop_when ~reuse ~budget ~plan_mode ()
+        ~jobs ~journal ~resume ~journal_batch ~telemetry ~run_timeout_ms
+        ~retries ~fail_fast ~chaos_crash ~chaos_hang ~workers ~listen
+        ~chaos_kill ~stop_when ~reuse ~budget ~plan_mode ()
     in
     Option.iter
       (fun path ->
@@ -982,7 +966,7 @@ let campaign_cmd =
       const run $ log_term $ cases_arg $ times_arg $ full_arg $ model_arg
       $ seed_arg $ window_arg $ progress_arg $ jobs_arg $ journal_arg
       $ resume_arg
-      $ journal_batch_arg $ telemetry_arg $ keep_traces_arg $ run_timeout_arg
+      $ journal_batch_arg $ telemetry_arg $ run_timeout_arg
       $ retries_arg $ fail_fast_arg $ chaos_crash_arg $ chaos_hang_arg
       $ workers_arg $ listen_arg $ chaos_kill_arg $ stop_when_arg $ ci_arg
       $ save_arg $ reuse_arg $ budget_arg $ plan_arg)
@@ -1756,7 +1740,6 @@ let replay_cmd =
         fail_fast = false;
         stop_when = None;
         budget = None;
-        keep_traces;
       }
     in
     let traces = ref None in

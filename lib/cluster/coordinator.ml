@@ -1,6 +1,7 @@
 let src = Logs.Src.create "cluster.coordinator" ~doc:"campaign coordinator"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Session = Propane.Session
 
 type conn = {
   id : int;

@@ -12,9 +12,11 @@
     campaign seed and its experiment index ({!Propane.Runner.executor}),
     so it does not matter which worker executes it, how batches are
     sized, or how many times a run is re-executed after reassignment —
-    duplicated results are identical and the first one wins.  The
-    journal is written in strict index order from a reorder buffer
-    (completed runs beyond the first gap wait in memory), which makes
+    duplicated results are identical and the first one wins.  Results
+    are recorded into the same {!Propane.Session} that drives
+    {!Propane.Runner.run}, whose journal is written in strict index
+    order from a reorder buffer (completed runs beyond the first gap
+    wait in memory), which makes
     the cluster journal byte-identical to the serial one rather than
     merely equivalent, at the price that a coordinator crash re-runs
     the buffered out-of-order tail on resume.
@@ -61,7 +63,8 @@ val serve :
     indices, so outcomes and journals stay byte-identical to a
     restricted serial run), and [cells] writes cell provenance records
     after the header of a freshly created journal.  [plan] attaches a
-    budget scheduler as the session's work source ({!Session.create}):
+    budget scheduler as the campaign's work source
+    ({!Propane.Session.create}):
     rounds allocate from completed results at deterministic barriers,
     so the cluster derives the same round sequence — and writes the
     same journal bytes — as a serial or [--jobs] run of the same

@@ -58,10 +58,19 @@ let tend t =
 
 let alive t = List.length t.pids
 
+(* Polls [reap] until every child is gone or [seconds] have passed. *)
+let reap_within t seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while t.pids <> [] && Unix.gettimeofday () < deadline do
+    if reap t = 0 then Unix.sleepf 0.02
+  done
+
 let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;
-    ignore (reap t);
+    (* Workers that received [Done] exit on their own; a short grace
+       lets whatever they do after it finish before any signal. *)
+    reap_within t 1.0;
     List.iter
       (fun pid ->
         try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
@@ -69,10 +78,7 @@ let shutdown t =
     (* Grace period, then escalate: a worker blocked in [Unix.read] on
        the coordinator socket dies to SIGTERM immediately; SIGKILL only
        matters if one is wedged in uninterruptible state. *)
-    let deadline = Unix.gettimeofday () +. 2.0 in
-    while t.pids <> [] && Unix.gettimeofday () < deadline do
-      if reap t = 0 then Unix.sleepf 0.02
-    done;
+    reap_within t 2.0;
     List.iter
       (fun pid ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());

@@ -34,7 +34,8 @@ val alive : t -> int
 (** Children currently believed to be running. *)
 
 val shutdown : t -> unit
-(** Stops tending, sends SIGTERM to surviving children, and waits for
-    them (escalating to SIGKILL after a short grace period).  Workers
-    that already exited cleanly — the normal case, after the
-    coordinator's [Done] — are just reaped.  Idempotent. *)
+(** Stops tending, gives children up to 1 s to exit on their own —
+    the normal case after the coordinator's [Done], so a worker is
+    never cut off while finishing up — then sends SIGTERM to the
+    survivors and waits for them (escalating to SIGKILL after a
+    further 2 s).  Idempotent. *)

@@ -71,11 +71,14 @@ let assess ?(max_ms = Propane.Runner.default_max_ms) ?(seed = 42L) ~outputs
     (fun (testcase, injection) ->
       let rng = Simkernel.Rng.split master in
       let golden = golden_for testcase in
-      let run =
-        Propane.Runner.injection_run ~rng sut
-          ~duration_ms:(Propane.Trace_set.duration_ms golden)
-          testcase injection
+      let recorder, traces =
+        Propane.Observer.recorder ~signals:(Propane.Sut.signal_names sut)
       in
+      ignore
+        (Propane.Runner.observed_run ~rng sut
+           ~duration_ms:(Propane.Trace_set.duration_ms golden)
+           testcase injection recorder);
+      let run = traces () in
       let divergences = Propane.Golden.compare_runs ~golden ~run () in
       let run_effective = divergences <> [] in
       let output_failure =

@@ -2,7 +2,7 @@ let src = Logs.Src.create "propane.runner" ~doc:"PROPANE campaign runner"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let default_max_ms = 20_000
+let default_max_ms = Config.default.max_ms
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain execution arena.
@@ -64,7 +64,7 @@ let observed_run_in ~arena ?rng ?run_timeout_ms (sut : Sut.t) ~duration_ms
   let target = injection.Injection.target in
   if not (Sut.has_signal sut target) then
     invalid_arg
-      (Printf.sprintf "Runner.injection_run: %S has no signal %S" sut.Sut.name
+      (Printf.sprintf "Runner.observed_run: %S has no signal %S" sut.Sut.name
          target);
   let rng =
     match rng with Some r -> r | None -> Simkernel.Rng.create 0x5EEDL
@@ -155,13 +155,6 @@ let truncated_duration ?truncate_after_ms injection duration_ms =
   | Some extra ->
       min duration_ms (Injection.last_fire_ms injection + extra + 1)
 
-let injection_run ?rng ?truncate_after_ms (sut : Sut.t) ~duration_ms testcase
-    injection =
-  let duration_ms = truncated_duration ?truncate_after_ms injection duration_ms in
-  let recorder, traces = Observer.recorder ~signals:(Sut.signal_names sut) in
-  ignore (observed_run ?rng sut ~duration_ms testcase injection recorder);
-  traces ()
-
 let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms
     ?(observers = []) sut ~golden testcase injection =
   let duration_ms =
@@ -196,198 +189,9 @@ let run_experiment ?rng ?truncate_after_ms ?run_timeout_ms ?observers sut
 
 (* ------------------------------------------------------------------ *)
 
-module Config = struct
-  type t = {
-    max_ms : int;
-    seed : int64;
-    truncate_after_ms : int option;
-    run_timeout_ms : int option;
-    retries : int;
-    fail_fast : bool;
-    jobs : int;
-    journal : string option;
-    resume : bool;
-    journal_batch : int;
-    keep_traces : bool;
-    stop_when : Live.rule option;
-    budget : int option;
-    plan : Plan.mode;
-  }
+module Config = Config
 
-  let default =
-    {
-      max_ms = default_max_ms;
-      seed = 42L;
-      truncate_after_ms = None;
-      run_timeout_ms = None;
-      retries = 0;
-      fail_fast = false;
-      jobs = 1;
-      journal = None;
-      resume = false;
-      journal_batch = 32;
-      keep_traces = false;
-      stop_when = None;
-      budget = None;
-      plan = Plan.Adaptive;
-    }
-
-  let make ?(max_ms = default.max_ms) ?(seed = default.seed)
-      ?truncate_after_ms ?run_timeout_ms ?(retries = default.retries)
-      ?(fail_fast = default.fail_fast) ?(jobs = default.jobs) ?journal
-      ?(resume = default.resume) ?(journal_batch = default.journal_batch)
-      ?(keep_traces = default.keep_traces) ?stop_when ?budget
-      ?(plan = default.plan) () =
-    {
-      max_ms;
-      seed;
-      truncate_after_ms;
-      run_timeout_ms;
-      retries;
-      fail_fast;
-      jobs;
-      journal;
-      resume;
-      journal_batch;
-      keep_traces;
-      stop_when;
-      budget;
-      plan;
-    }
-
-  let validate t =
-    if t.jobs < 1 then Error "jobs must be >= 1"
-    else if t.retries < 0 then Error "retries must be >= 0"
-    else if
-      match t.run_timeout_ms with Some ms -> ms < 1 | None -> false
-    then Error "run_timeout_ms must be >= 1"
-    else if t.journal_batch < 1 then Error "journal_batch must be >= 1"
-    else if t.resume && t.journal = None then Error "resume requires a journal"
-    else if match t.budget with Some b -> b < 1 | None -> false then
-      Error "budget must be >= 1"
-    else Ok ()
-
-  (* The encoded form travels inside cluster recipes (one field of a
-     [;]-separated recipe), so fields are [,]-separated [k=v] pairs and
-     must never contain either separator.  [journal] and [resume] are
-     host-local (a path on the coordinator's disk means nothing to a
-     worker) and are deliberately not encoded; [decode] leaves them at
-     their defaults. *)
-  let encode t =
-    let b = Buffer.create 96 in
-    let add k v =
-      if Buffer.length b > 0 then Buffer.add_char b ',';
-      Buffer.add_string b k;
-      Buffer.add_char b '=';
-      Buffer.add_string b v
-    in
-    add "max_ms" (string_of_int t.max_ms);
-    add "seed" (Int64.to_string t.seed);
-    Option.iter
-      (fun ms -> add "truncate_after_ms" (string_of_int ms))
-      t.truncate_after_ms;
-    Option.iter
-      (fun ms -> add "run_timeout_ms" (string_of_int ms))
-      t.run_timeout_ms;
-    add "retries" (string_of_int t.retries);
-    add "fail_fast" (string_of_bool t.fail_fast);
-    add "jobs" (string_of_int t.jobs);
-    add "journal_batch" (string_of_int t.journal_batch);
-    add "keep_traces" (string_of_bool t.keep_traces);
-    Option.iter (fun r -> add "stop_when" (Live.rule_to_string r)) t.stop_when;
-    (* Unplanned campaigns encode no plan fields, keeping their recipes
-       (and everything content-addressed on them) byte-stable. *)
-    Option.iter
-      (fun budget ->
-        add "budget" (string_of_int budget);
-        add "plan" (Plan.mode_to_string t.plan))
-      t.budget;
-    Buffer.contents b
-
-  let decode s =
-    let ( let* ) = Result.bind in
-    let int_field k v =
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "Runner.Config: bad %s %S" k v)
-    in
-    let bool_field k v =
-      match bool_of_string_opt v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "Runner.Config: bad %s %S" k v)
-    in
-    let* config =
-      List.fold_left
-        (fun acc field ->
-          let* t = acc in
-          match String.index_opt field '=' with
-          | None ->
-              Error (Printf.sprintf "Runner.Config: bad field %S" field)
-          | Some i -> (
-              let k = String.sub field 0 i in
-              let v =
-                String.sub field (i + 1) (String.length field - i - 1)
-              in
-              match k with
-              | "max_ms" ->
-                  let* n = int_field k v in
-                  Ok { t with max_ms = n }
-              | "seed" -> (
-                  match Int64.of_string_opt v with
-                  | Some seed -> Ok { t with seed }
-                  | None ->
-                      Error (Printf.sprintf "Runner.Config: bad seed %S" v))
-              | "truncate_after_ms" ->
-                  let* n = int_field k v in
-                  Ok { t with truncate_after_ms = Some n }
-              | "run_timeout_ms" ->
-                  let* n = int_field k v in
-                  Ok { t with run_timeout_ms = Some n }
-              | "retries" ->
-                  let* n = int_field k v in
-                  Ok { t with retries = n }
-              | "fail_fast" ->
-                  let* b = bool_field k v in
-                  Ok { t with fail_fast = b }
-              | "jobs" ->
-                  let* n = int_field k v in
-                  Ok { t with jobs = n }
-              | "journal_batch" ->
-                  let* n = int_field k v in
-                  Ok { t with journal_batch = n }
-              | "keep_traces" ->
-                  let* b = bool_field k v in
-                  Ok { t with keep_traces = b }
-              | "stop_when" ->
-                  let* rule =
-                    Result.map_error
-                      (Printf.sprintf "Runner.Config: %s")
-                      (Live.rule_of_string v)
-                  in
-                  Ok { t with stop_when = Some rule }
-              | "budget" ->
-                  let* n = int_field k v in
-                  Ok { t with budget = Some n }
-              | "plan" ->
-                  let* mode =
-                    Result.map_error
-                      (Printf.sprintf "Runner.Config: %s")
-                      (Plan.mode_of_string v)
-                  in
-                  Ok { t with plan = mode }
-              | _ -> Error (Printf.sprintf "Runner.Config: unknown field %S" k)))
-        (Ok default)
-        (String.split_on_char ',' s)
-    in
-    let* () = validate config in
-    Ok config
-end
-
-(* ------------------------------------------------------------------ *)
-
-type progress = { completed : int; total : int }
-
-type event =
+type event = Session.event =
   | Started of { total : int; skipped : int; jobs : int }
   | Goldens_done of { testcases : int }
   | Worker_attached of { worker : int; host : string; pid : int }
@@ -402,7 +206,7 @@ type event =
   | Analysis_tick of Live.digest
   | Finished of { completed : int; total : int }
 
-exception Failed_run of { index : int; outcome : Results.outcome }
+exception Failed_run = Session.Failed_run
 
 (* The per-run generator is derived from the seed and the experiment's
    position alone, so run order (and hence parallel scheduling) cannot
@@ -437,55 +241,31 @@ let goldens_for ~max_ms sut experiments remaining =
       end)
     String_map.empty remaining
 
-(* Replay a journal into [outcomes]; returns how many indices it
-   filled and whether the journal already carries plan-round records
-   (a finished planned campaign must not journal its rounds twice).
-   Mismatched metadata means the journal belongs to a different
-   campaign — refusing loudly beats silently corrupting a resume. *)
-let replay_journal path ~outcomes ~(sut : Sut.t) ~campaign ~seed ~total =
-  match Journal.load path with
-  | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s" msg)
-  | Ok j -> (
-      match
-        Journal.validate j ~path ~sut:sut.Sut.name
-          ~campaign:campaign.Campaign.name ~seed ~total
-      with
-      | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s" msg)
-      | Ok () ->
-          let table = Journal.completed j in
-          Hashtbl.iter
-            (fun index outcome -> outcomes.(index) <- Some outcome)
-            table;
-          (Hashtbl.length table, j.Journal.rounds <> []))
-
-let or_invalid = function Ok v -> v | Error msg -> invalid_arg msg
-
-(* One injection run of the campaign: streaming by default; with
-   [keep] an opt-in recorder rides along, which also disables early
-   exit (a recorder never saturates), reproducing the legacy
-   record-everything data path.  A crashed or hung attempt is re-run up
-   to [retries] times on a fresh RNG stream before its failure stands;
-   the returned int is the number of re-executions actually taken. *)
-let run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ?(retries = 0)
-    ~keep ~golden_for (sut : Sut.t) experiments idx =
+(* One injection run of the campaign: streaming, unless [keep] lets a
+   recorder ride along for [on_run_traces] — which also disables early
+   exit (a recorder never saturates).  A crashed or hung attempt is
+   re-run up to [config.retries] times on a fresh RNG stream before its
+   failure stands; the returned int is the number of re-executions
+   actually taken. *)
+let run_one ~arena ~(config : Config.t) ~keep ~golden_for (sut : Sut.t)
+    experiments idx =
+  let { Config.seed; truncate_after_ms; run_timeout_ms; retries; _ } =
+    config
+  in
   let testcase, injection = experiments.(idx) in
   let golden = golden_for testcase in
   let attempt_one attempt =
     let rng = rng_for ~attempt seed idx in
-    if keep then begin
-      let recorder, traces =
-        Observer.recorder ~signals:(Sut.signal_names sut)
-      in
-      let outcome =
-        run_experiment_in ~arena ~rng ?truncate_after_ms ?run_timeout_ms
-          ~observers:[ recorder ] sut ~golden testcase injection
-      in
-      (outcome, Some (traces ()))
-    end
-    else
-      ( run_experiment_in ~arena ~rng ?truncate_after_ms ?run_timeout_ms sut
-          ~golden testcase injection,
-        None )
+    let recorder =
+      if keep then Some (Observer.recorder ~signals:(Sut.signal_names sut))
+      else None
+    in
+    let outcome =
+      run_experiment_in ~arena ~rng ?truncate_after_ms ?run_timeout_ms
+        ~observers:(Option.to_list (Option.map fst recorder))
+        sut ~golden testcase injection
+    in
+    (outcome, Option.map (fun (_, traces) -> traces ()) recorder)
   in
   let rec go attempt =
     let outcome, traces = attempt_one attempt in
@@ -510,15 +290,7 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.executor: %s" msg));
-  let {
-    Config.max_ms;
-    truncate_after_ms;
-    run_timeout_ms;
-    retries;
-    _;
-  } =
-    config
-  in
+  let config = { config with Config.seed } in
   let experiments = Array.of_list (Campaign.experiments campaign) in
   let total = Array.length experiments in
   let arena = make_arena sut in
@@ -529,7 +301,9 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
     | Some frozen -> frozen
     | None ->
         Log.debug (fun m -> m "golden run for %s" id);
-        let frozen = Golden.freeze (golden_run ~max_ms sut tc) in
+        let frozen =
+          Golden.freeze (golden_run ~max_ms:config.Config.max_ms sut tc)
+        in
         Hashtbl.add goldens id frozen;
         frozen
   in
@@ -539,28 +313,27 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
         (Printf.sprintf "Runner.executor: index %d outside campaign of %d"
            index total);
     let outcome, _traces, retried =
-      run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ~retries
-        ~keep:false ~golden_for sut experiments index
+      run_one ~arena ~config ~keep:false ~golden_for sut experiments index
     in
     (outcome, retried)
 
-(* The work source's runnable indices, distributed over [jobs] worker
-   domains.  Each worker owns a private arena (sample buffer,
-   divergence scratch) so the hot loop is allocation-free and domains
-   share only the frozen goldens, which are immutable.  Workers hand
-   finished outcomes to the coordinating domain over a queue; journal
-   appends, [Plan.complete] and [on_event] / [on_run_traces] callbacks
-   happen only there, so callers never need thread-safe callbacks and
-   the journal has a single writer.
+(* The domain pool: [jobs] worker domains only take indices and execute
+   runs, each in a private arena, sharing nothing but the frozen
+   goldens.  Finished runs travel over a queue to the calling domain,
+   which alone calls [record] — so the session has a single writer,
+   every event and [on_run_traces] callback fires from the caller, and
+   the live analysis stays off the workers.
 
    A planned source can be momentarily empty while a round barrier
-   waits on in-flight runs, so an empty [take] is not the end: workers
-   sleep on [work_cond] and the coordinator wakes them after every
+   waits on in-flight runs, so an empty take is not the end: workers
+   sleep on [work_cond] and the calling domain wakes them after every
    completion — either the barrier advanced and refilled the queue, or
-   the source is exhausted and they drain out. *)
-let run_parallel ~jobs ~seed ?truncate_after_ms ?run_timeout_ms ?retries
-    ~fail_fast ~keep ~stop ~experiments ~source ~golden_for ~outcomes ~record
-    sut =
+   the source is exhausted and they drain out.  A stop rule, a
+   fail-fast failure or an exception poisons the pool: workers take no
+   new index, and the runs already in flight still complete and are
+   recorded.  A worker whose own run fails under [fail_fast] poisons it
+   at once, without waiting for the calling domain to record it. *)
+let run_pool ~jobs ~fail_fast ~session ~execute ~record sut =
   let mutex = Mutex.create () in
   let cond = Condition.create () in
   let queue = Queue.create () in
@@ -570,7 +343,12 @@ let run_parallel ~jobs ~seed ?truncate_after_ms ?run_timeout_ms ?retries
     Condition.signal cond;
     Mutex.unlock mutex
   in
-  let poisoned = Atomic.make false in
+  (* A resume can prime the live analysis past the stop rule, so the
+     session may refuse work before any run: start poisoned then, or
+     workers would spin on an empty take that no record will end. *)
+  let poisoned =
+    Atomic.make (Session.stopping session || Session.failed session <> None)
+  in
   let work_mutex = Mutex.create () in
   let work_cond = Condition.create () in
   let wake_workers () =
@@ -578,23 +356,21 @@ let run_parallel ~jobs ~seed ?truncate_after_ms ?run_timeout_ms ?retries
     Condition.broadcast work_cond;
     Mutex.unlock work_mutex
   in
-  (* Blocks until an index is runnable, the source is exhausted, or the
-     campaign was poisoned (fail-fast, adaptive stop, worker death). *)
   let rec take_next () =
     if Atomic.get poisoned then None
     else
-      match Plan.take source ~max:1 with
+      match Session.take session ~batch_max:1 ~workers:jobs with
       | idx :: _ -> Some idx
       | [] ->
-          if Plan.exhausted source then None
+          if Session.complete session then None
           else begin
             Mutex.lock work_mutex;
             (* Re-check under the lock: completions broadcast under it,
                so a wakeup between check and wait cannot be lost. *)
             if
               (not (Atomic.get poisoned))
-              && Plan.pending source = 0
-              && not (Plan.exhausted source)
+              && Session.pending session = 0
+              && not (Session.complete session)
             then Condition.wait work_cond work_mutex;
             Mutex.unlock work_mutex;
             take_next ()
@@ -606,320 +382,95 @@ let run_parallel ~jobs ~seed ?truncate_after_ms ?run_timeout_ms ?retries
       match take_next () with
       | None -> ()
       | Some idx ->
-          let outcome, traces, retried =
-            run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ?retries
-              ~keep ~golden_for sut experiments idx
-          in
-          post (Ok (idx, wid, outcome, traces, retried));
+          let ((outcome, _, _) as run) = execute ~arena idx in
           if fail_fast && Results.is_failed outcome.Results.status then
-            raise (Failed_run { index = idx; outcome })
-          else loop ()
+            Atomic.set poisoned true;
+          post (Ok (idx, wid, run));
+          loop ()
     in
-    match loop () with () -> post (Error None) | exception e -> post (Error (Some e))
+    match loop () with
+    | () -> post (Error None)
+    | exception e -> post (Error (Some e))
   in
   let domains = List.init jobs (fun wid -> Domain.spawn (worker wid)) in
   let live = ref jobs and failure = ref None in
-  while !live > 0 do
-    Mutex.lock mutex;
-    while Queue.is_empty queue do
-      Condition.wait cond mutex
-    done;
-    let batch = Queue.fold (fun acc m -> m :: acc) [] queue in
-    Queue.clear queue;
-    Mutex.unlock mutex;
-    List.iter
-      (function
-        | Ok (idx, wid, outcome, traces, retried) ->
-            outcomes.(idx) <- Some outcome;
-            record ~index:idx ~worker:wid ~retries:retried outcome traces;
-            Plan.complete source ~index:idx outcome;
-            (* An adaptive stop poisons the source exactly like a
-               fail-fast abort: surviving workers take no new indices
-               and the runs already in flight still complete and
-               journal. *)
-            if stop () then Atomic.set poisoned true;
-            wake_workers ()
-        | Error None -> decr live
-        | Error (Some e) ->
-            (* Poison the source so the surviving workers stop taking
-               new indices; they still finish (and journal) the runs
-               already in flight before draining out. *)
-            Atomic.set poisoned true;
-            if !failure = None then failure := Some e;
-            decr live;
-            wake_workers ())
-      (List.rev batch)
-  done;
-  List.iter Domain.join domains;
-  match !failure with Some e -> raise e | None -> ()
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set poisoned true;
+      wake_workers ();
+      List.iter Domain.join domains)
+    (fun () ->
+      while !live > 0 do
+        Mutex.lock mutex;
+        while Queue.is_empty queue do
+          Condition.wait cond mutex
+        done;
+        let batch = Queue.fold (fun acc m -> m :: acc) [] queue in
+        Queue.clear queue;
+        Mutex.unlock mutex;
+        List.iter
+          (function
+            | Ok (idx, wid, run) ->
+                record ~worker:wid idx run;
+                if Session.stopping session || Session.failed session <> None
+                then Atomic.set poisoned true;
+                wake_workers ()
+            | Error None -> decr live
+            | Error (Some e) ->
+                Atomic.set poisoned true;
+                if !failure = None then failure := Some e;
+                decr live;
+                wake_workers ())
+          (List.rev batch)
+      done);
+  Option.iter raise !failure
 
 let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
     ?cells ?recipe ?plan (sut : Sut.t) campaign =
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s" msg));
-  let {
-    Config.max_ms;
-    seed;
-    truncate_after_ms;
-    run_timeout_ms;
-    retries;
-    fail_fast;
-    jobs;
-    journal;
-    resume;
-    journal_batch;
-    keep_traces;
-    stop_when;
-    budget = _;
-    plan = _;
-  } =
-    config
-  in
-  if stop_when <> None && live = None then
-    invalid_arg "Runner.run: stop_when requires a live analysis";
-  if config.Config.budget <> None && plan = None then
-    invalid_arg "Runner.run: a budget requires a plan (see Plan.create)";
-  let keep = keep_traces || on_run_traces <> None in
   let experiments = Array.of_list (Campaign.experiments campaign) in
-  let total = Array.length experiments in
-  let outcomes = Array.make total None in
-  let skipped, journalled_rounds =
-    match journal with
-    | Some path when resume && Sys.file_exists path ->
-        replay_journal path ~outcomes ~sut ~campaign ~seed ~total
-    | _ -> (0, false)
+  (* Golden runs execute up front in the calling domain, for exactly the
+     test cases the work source may still schedule, and are frozen
+     before being shared read-only with worker domains. *)
+  let goldens = ref String_map.empty in
+  let session =
+    Session.create ~label:"Runner.run" ?on_event ?recipe ?live ?select ?cells
+      ?plan
+      ~goldens:(fun remaining ->
+        goldens :=
+          goldens_for ~max_ms:config.Config.max_ms sut experiments remaining;
+        String_map.cardinal !goldens)
+      ~config ~sut:sut.Sut.name ~campaign:campaign.Campaign.name
+      ~total:(Array.length experiments) ()
   in
-  let writer =
-    match journal with
-    | None -> None
-    | Some path ->
-        Some
-          (or_invalid
-             (if skipped > 0 then Journal.append_to ~batch:journal_batch path
-              else
-                let w =
-                  Journal.create ~batch:journal_batch ?recipe ~path
-                    ~sut:sut.Sut.name ~campaign:campaign.Campaign.name ~seed
-                    ~total ()
-                in
-                (* Cell provenance lands right after the header, before
-                   any outcome, so even an immediately killed reuse
-                   campaign leaves its plan on record.  Resumes append
-                   to the existing journal and never rewrite it. *)
-                match (w, cells) with
-                | Ok w, Some cells ->
-                    Result.map (fun () -> w) (Journal.append_cells w cells)
-                | w, _ -> w))
+  let golden_for tc = String_map.find (Testcase.id tc) !goldens in
+  let keep = on_run_traces <> None in
+  let execute ~arena idx =
+    run_one ~arena ~config ~keep ~golden_for sut experiments idx
   in
-  (* Reorder buffer: parallel completions arrive in scheduling order,
-     but the journal is written in strict campaign-index order — a
-     cursor chases the first still-missing index, so a journal is
-     always byte-identical to the serial journal's prefix, whatever
-     the interleaving.  [written.(i)] marks records already on disk
-     (journal replays count).  Workers are never stalled: a completion
-     beyond the gap parks in [outcomes] and the cursor drains it the
-     moment the gap fills. *)
-  let written = Array.make total false in
-  Array.iteri (fun i o -> if o <> None then written.(i) <- true) outcomes;
-  (* Deselected indices will never produce a record; marking them
-     written up front keeps the gap-chasing cursor moving, so selected
-     runs still stream to disk in strict index order instead of parking
-     until close. *)
-  (match select with
-  | Some selected ->
-      Array.iteri
-        (fun i w -> if (not w) && not (selected i) then written.(i) <- true)
-        written
-  | None -> ());
-  let next_write = ref 0 in
-  let append_in_order () =
-    match writer with
-    | None -> ()
-    | Some w ->
-        let rec advance () =
-          if !next_write < total then
-            if written.(!next_write) then begin
-              incr next_write;
-              advance ()
-            end
-            else
-              match outcomes.(!next_write) with
-              | Some o ->
-                  or_invalid (Journal.append w ~index:!next_write o);
-                  written.(!next_write) <- true;
-                  incr next_write;
-                  advance ()
-              | None -> ()
-        in
-        advance ()
+  let record ~worker idx (outcome, traces, retries) =
+    (match (on_run_traces, traces) with
+    | Some f, Some traces -> f ~index:idx traces
+    | _ -> ());
+    Session.record session ~index:idx ~worker ~retries outcome
   in
-  (* An early stop (fail-fast, adaptive rule, or a raising callback)
-     can leave completed runs parked beyond the cursor's gap; they are
-     appended out of order before close so no finished work is lost —
-     resume re-runs only the genuinely missing indices. *)
-  let sweep_tail () =
-    match writer with
-    | None -> ()
-    | Some w ->
-        for idx = !next_write to total - 1 do
-          if not written.(idx) then
-            match outcomes.(idx) with
-            | Some o ->
-                or_invalid (Journal.append w ~index:idx o);
-                written.(idx) <- true
-            | None -> ()
-        done
-  in
+  (* Any escaping exception still journals every completed run. *)
   Fun.protect
-    ~finally:(fun () ->
-      Option.iter
-        (fun w ->
-          sweep_tail ();
-          Journal.close w)
-        writer)
+    ~finally:(fun () -> Session.abort session)
     (fun () ->
-      (* The shared work source: every backend pulls indices from a
-         [Plan.t].  Unplanned campaigns get the static single-round
-         source (the historical cursor behaviour); planned campaigns
-         are primed with the replayed outcomes so the budget scheduler
-         re-derives its round sequence instead of re-executing them. *)
-      let source =
-        match plan with
-        | Some p ->
-            Array.iteri
-              (fun index -> function
-                | Some outcome -> Plan.prime p ~index outcome
-                | None -> ())
-              outcomes;
-            p
-        | None ->
-            Plan.static ?select
-              ~done_:(fun idx -> outcomes.(idx) <> None)
-              ~total ()
-      in
-      let remaining = Plan.candidates source in
-      Log.info (fun m ->
-          m "campaign %s on %s: %d runs (%d journalled) across %d domain%s"
-            campaign.Campaign.name sut.Sut.name total skipped jobs
-            (if jobs = 1 then "" else "s"));
-      let emit ev = match on_event with Some f -> f ev | None -> () in
-      emit (Started { total; skipped; jobs });
-      (* Replayed outcomes enter the live analysis in index order before
-         anything executes, so a resumed adaptive campaign judges its
-         stop rule over exactly the evidence an uninterrupted one has
-         seen at the same point. *)
-      (match live with
-      | Some l when skipped > 0 ->
-          Array.iter
-            (function Some o -> ignore (Live.observe l o) | None -> ())
-            outcomes;
-          emit (Analysis_tick (Live.digest l))
-      | _ -> ());
-      let stop () =
-        match (live, stop_when) with
-        | Some l, Some rule -> Live.satisfied l rule
-        | _ -> false
-      in
-      let goldens = goldens_for ~max_ms sut experiments remaining in
-      emit (Goldens_done { testcases = String_map.cardinal goldens });
-      let golden_for tc = String_map.find (Testcase.id tc) goldens in
-      let completed = ref skipped in
-      let record ~index ~worker ~retries outcome traces =
-        append_in_order ();
-        (match (on_run_traces, traces) with
-        | Some f, Some set -> f ~index set
-        | _ -> ());
-        incr completed;
-        emit
-          (Run_done
-             {
-               index;
-               worker;
-               completed = !completed;
-               total;
-               status = outcome.Results.status;
-               retries;
-             });
-        match live with
-        | Some l -> emit (Analysis_tick (Live.observe l outcome))
-        | None -> ()
-      in
-      let stopped = ref (stop ()) in
-      if jobs = 1 then begin
+      if config.Config.jobs = 1 then begin
         let arena = make_arena sut in
-        let running = ref (not !stopped) in
-        while !running do
-          match Plan.take source ~max:1 with
-          | [] ->
-              (* A serial barrier resolves synchronously in [complete],
-                 so an empty take means the source is exhausted. *)
-              running := false
+        (* A serial barrier resolves synchronously in [record], so an
+           empty take means the source is exhausted or stopped. *)
+        let rec loop () =
+          match Session.take session ~batch_max:1 ~workers:1 with
+          | [] -> ()
           | idx :: _ ->
-              let outcome, traces, retried =
-                run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms
-                  ~retries ~keep ~golden_for sut experiments idx
-              in
-              outcomes.(idx) <- Some outcome;
-              record ~index:idx ~worker:0 ~retries:retried outcome traces;
-              Plan.complete source ~index:idx outcome;
-              if fail_fast && Results.is_failed outcome.Results.status then
-                raise (Failed_run { index = idx; outcome });
-              if stop () then running := false
-        done
+              record ~worker:0 idx (execute ~arena idx);
+              loop ()
+        in
+        loop ()
       end
-      else if not !stopped then
-        run_parallel ~jobs ~seed ?truncate_after_ms ?run_timeout_ms ~retries
-          ~fail_fast ~keep ~stop ~experiments ~source ~golden_for ~outcomes
-          ~record sut;
-      (* A planned campaign that ran its schedule to exhaustion leaves
-         its allocation history on record: parked records first (the
-         journal stays run-records-then-rounds), then the rounds in one
-         batch.  A rule-stopped or killed planned campaign journals no
-         rounds — its resume re-derives and records them at the real
-         finish — and a resumed already-finished journal never doubles
-         them. *)
-      (match (writer, plan) with
-      | Some w, Some p when (not journalled_rounds) && Plan.exhausted p ->
-          sweep_tail ();
-          or_invalid (Journal.append_rounds w (Plan.rounds p))
-      | _ -> ());
-      emit (Finished { completed = !completed; total });
-      let results =
-        Results.create ~sut:sut.Sut.name ~campaign:campaign.Campaign.name
-      in
-      Array.iter
-        (function
-          | Some outcome -> Results.add results outcome
-          | None ->
-              (* Only an adaptive stop, a cell-reuse selection or a
-                 budget plan may leave runs unexecuted. *)
-              assert (stop_when <> None || select <> None || plan <> None))
-        outcomes;
-      results)
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated entry points. *)
-
-let run_campaign ?max_ms ?seed ?truncate_after_ms ?on_progress sut campaign =
-  let on_event =
-    Option.map
-      (fun f -> function
-        | Run_done { completed; total; _ } -> f { completed; total }
-        | Started _ | Goldens_done _ | Worker_attached _ | Analysis_tick _
-        | Finished _ -> ())
-      on_progress
-  in
-  run ~config:(Config.make ?max_ms ?seed ?truncate_after_ms ()) ?on_event sut
-    campaign
-
-let run_campaign_parallel ?max_ms ?seed ?truncate_after_ms ?domains sut
-    campaign =
-  let jobs =
-    match domains with
-    | Some n when n >= 1 -> n
-    | Some _ -> invalid_arg "Runner.run_campaign_parallel: domains must be >= 1"
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  run ~config:(Config.make ?max_ms ?seed ?truncate_after_ms ~jobs ()) sut
-    campaign
+      else
+        run_pool ~jobs:config.jobs ~fail_fast:config.fail_fast ~session
+          ~execute ~record sut;
+      Session.finish session)

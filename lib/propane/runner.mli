@@ -56,25 +56,6 @@ val observed_run :
     @raise Invalid_argument if the target signal is unknown to the SUT
     or [run_timeout_ms < 1]. *)
 
-val injection_run :
-  ?rng:Simkernel.Rng.t ->
-  ?truncate_after_ms:int ->
-  Sut.t ->
-  duration_ms:int ->
-  Testcase.t ->
-  Injection.t ->
-  Trace_set.t
-(** {!observed_run} with a {!Observer.recorder}: runs for [duration_ms]
-    and returns the full traces (no early exit — a recorder never
-    saturates).
-
-    [truncate_after_ms] stops the run that many milliseconds after the
-    injection instant — a large speed-up for permeability estimation,
-    which only inspects a direct window after the injection (see
-    {!Estimator.attribution}); pick a truncation comfortably larger
-    than the attribution window.  @raise Invalid_argument if the target
-    signal is unknown to the SUT. *)
-
 val run_experiment :
   ?rng:Simkernel.Rng.t ->
   ?truncate_after_ms:int ->
@@ -103,85 +84,11 @@ val run_experiment :
     outcome's divergences are discarded (how far the run got is
     wall-clock dependent, and outcomes must stay deterministic). *)
 
-(** {1 Campaign configuration}
+(** {1 Campaign configuration} *)
 
-    Every knob a campaign accepts, in one plain record — the single
-    source of options shared by {!run}, {!executor}, the cluster
-    coordinator ({!Cluster.Coordinator.serve}) and the CLI, so the
-    execution modes cannot drift apart in what they accept. *)
-
-module Config : sig
-  type t = {
-    max_ms : int;  (** golden-run safety net, {!default_max_ms} *)
-    seed : int64;  (** campaign seed; every run's RNG derives from it *)
-    truncate_after_ms : int option;
-        (** stop each run this long after its injection *)
-    run_timeout_ms : int option;  (** wall-clock watchdog per run *)
-    retries : int;  (** re-executions of a crashed/hung run *)
-    fail_fast : bool;  (** abort the campaign on a failed run *)
-    jobs : int;  (** worker domains; 1 = everything in the caller *)
-    journal : string option;  (** stream outcomes to this path *)
-    resume : bool;  (** replay an existing journal first *)
-    journal_batch : int;
-        (** commit journal records to disk every this many appends
-            (see {!Journal.create}); contents are unaffected, only the
-            crash-loss window — at most [journal_batch - 1] records,
-            re-run on resume *)
-    keep_traces : bool;  (** record full per-run traces *)
-    stop_when : Live.rule option;
-        (** adaptive stop rule; needs [?live] at {!run} *)
-    budget : int option;
-        (** total injection budget; needs [?plan] at {!run} — the CLI
-            and coordinator build the {!Plan.t} from this field *)
-    plan : Plan.mode;
-        (** how a budget is allocated (default {!Plan.Adaptive});
-            meaningless without [budget] *)
-  }
-
-  val default : t
-  (** [max_ms = default_max_ms], [seed = 42], no truncation, no
-      watchdog, no retries, no fail-fast, [jobs = 1], no journal,
-      [journal_batch = 32], streaming (no kept traces), no stop rule. *)
-
-  val make :
-    ?max_ms:int ->
-    ?seed:int64 ->
-    ?truncate_after_ms:int ->
-    ?run_timeout_ms:int ->
-    ?retries:int ->
-    ?fail_fast:bool ->
-    ?jobs:int ->
-    ?journal:string ->
-    ?resume:bool ->
-    ?journal_batch:int ->
-    ?keep_traces:bool ->
-    ?stop_when:Live.rule ->
-    ?budget:int ->
-    ?plan:Plan.mode ->
-    unit ->
-    t
-  (** {!default} with the given fields replaced.  Construction never
-      fails; {!validate} (called by every entry point taking a config)
-      checks the combination. *)
-
-  val validate : t -> (unit, string) result
-  (** [jobs >= 1], [retries >= 0], [run_timeout_ms >= 1],
-      [journal_batch >= 1], [budget >= 1] when set, and [resume] only
-      with a [journal]. *)
-
-  val encode : t -> string
-  (** Serialises for a cluster recipe: [,]-separated [k=v] fields, no
-      tabs or newlines, safe to embed as one field of a [;]-separated
-      recipe.  [journal] and [resume] are host-local (a coordinator
-      path means nothing on a worker) and are not encoded.  [budget]
-      and [plan] are only emitted for planned campaigns, so unplanned
-      recipes keep their previous bytes. *)
-
-  val decode : string -> (t, string) result
-  (** Inverse of {!encode} over the encoded fields; [journal]/[resume]
-      come back as {!default}'s.  Unknown fields are errors, so recipe
-      typos fail loudly.  The decoded config is {!validate}d. *)
-end
+module Config = Config
+(** Every knob a campaign accepts, in one plain record (see
+    {!Propane.Config}). *)
 
 (** {1 Campaign engine}
 
@@ -195,23 +102,15 @@ end
     resumed from its journal matches an uninterrupted one exactly.
 
     Journals are additionally {e byte}-identical across [jobs] values:
-    parallel completions pass through a reorder buffer and are written
-    in strict campaign-index order (see {!run}). *)
+    {!run} is two thin drivers — a serial loop and a domain pool — over
+    one {!Session}, which writes records in strict campaign-index order
+    whatever order runs complete in.  The cluster coordinator and the
+    campaign service drive the same session. *)
 
-type event =
+type event = Session.event =
   | Started of { total : int; skipped : int; jobs : int }
-      (** emitted first; [skipped] counts runs replayed from the
-          journal on resume *)
   | Goldens_done of { testcases : int }
-      (** golden runs are in place (only the test cases still needed
-          by remaining experiments are executed); a cluster
-          coordinator emits it with [testcases = 0] — its workers run
-          their goldens lazily in their own processes *)
   | Worker_attached of { worker : int; host : string; pid : int }
-      (** a remote worker process joined the campaign (cluster runs
-          only; {!run}'s in-process domains attach silently).  [worker]
-          is the id later seen in [Run_done], [host]/[pid] identify the
-          process for telemetry *)
   | Run_done of {
       index : int;
       worker : int;
@@ -220,21 +119,16 @@ type event =
       status : Results.status;
       retries : int;
     }
-      (** one injection run finished; [index] is its position in
-          {!Campaign.experiments}, [worker] the domain that ran it
-          (0-based), [completed] includes skipped runs, [status] how
-          the run ended and [retries] how many re-executions it took
-          (0 = first attempt stood) *)
   | Analysis_tick of Live.digest
-      (** the live analysis refreshed after a run (only with [?live]);
-          one per [Run_done], plus one for the replayed journal on
-          resume *)
-  | Finished of { completed : int; total : int }  (** emitted last *)
+  | Finished of { completed : int; total : int }
+(** The life of a campaign, as {!Session} reports it (documented at
+    {!Session.event}). *)
 
 exception Failed_run of { index : int; outcome : Results.outcome }
-(** Raised by {!run} under [fail_fast] when a run is still crashed or
-    hung after its retry budget.  The failed outcome has already been
-    journalled and reported via [Run_done] when this escapes. *)
+(** {!Session.Failed_run}: raised by {!run} under [fail_fast] when a
+    run is still crashed or hung after its retry budget.  The failed
+    outcome has already been journalled and reported via [Run_done]
+    when this escapes. *)
 
 val run :
   ?config:Config.t ->
@@ -303,19 +197,20 @@ val run :
 
     [jobs] (default 1) is the number of worker domains.  With
     [jobs = 1] everything happens in the calling domain; otherwise
-    [jobs] domains execute injection runs while the calling domain
-    coordinates.  Golden runs execute up front in the calling domain
-    and are frozen ({!Golden.freeze}) before being shared read-only
-    across domains; every injection run gets a fresh SUT instance, so
-    the SUT's [instantiate] must not rely on global mutable state.
+    [jobs] domains only take indices and execute injection runs, while
+    the calling domain alone records their outcomes into the session
+    (journal, events, live analysis).  Golden runs execute up front in
+    the calling domain and are frozen ({!Golden.freeze}) before being
+    shared read-only across domains; every injection run gets a fresh
+    SUT instance, so the SUT's [instantiate] must not rely on global
+    mutable state.
 
-    By default runs are streamed: no per-run trace is materialized and
-    a run stops as soon as every signal has diverged.  [keep_traces]
-    (default false) attaches a {!Observer.recorder} to every injection
-    run, restoring the legacy record-everything data path (full-length
-    runs, per-run trace allocation) — outcomes are identical either
-    way, this only changes cost.  [on_run_traces] receives each run's
-    recorded traces (implies [keep_traces]); like [on_event] it is
+    Runs are streamed: no per-run trace is materialized and a run
+    stops as soon as every signal has diverged.  [on_run_traces]
+    attaches a {!Observer.recorder} to every injection run (full-length
+    runs, per-run trace allocation — outcomes are identical either way)
+    and receives each run's recorded traces just before its outcome is
+    recorded (so before its [Run_done] event); like [on_event] it is
     always called from the calling domain, in completion order.
 
     [journal] streams every outcome to an append-only {!Journal} at
@@ -389,30 +284,3 @@ val executor :
     whoever coordinates the indices.
     @raise Invalid_argument on an invalid config or an index outside
     the campaign. *)
-
-(** {1 Deprecated entry points} *)
-
-type progress = { completed : int; total : int }
-
-val run_campaign :
-  ?max_ms:int ->
-  ?seed:int64 ->
-  ?truncate_after_ms:int ->
-  ?on_progress:(progress -> unit) ->
-  Sut.t ->
-  Campaign.t ->
-  Results.t
-[@@ocaml.deprecated "use Runner.run instead"]
-(** [run] with [~jobs:1]; [on_progress] sees every {!Run_done}. *)
-
-val run_campaign_parallel :
-  ?max_ms:int ->
-  ?seed:int64 ->
-  ?truncate_after_ms:int ->
-  ?domains:int ->
-  Sut.t ->
-  Campaign.t ->
-  Results.t
-[@@ocaml.deprecated "use Runner.run with ~jobs instead"]
-(** [run] with [~jobs:domains] (default: the recommended domain count
-    minus one, at least 1).  @raise Invalid_argument if [domains < 1]. *)

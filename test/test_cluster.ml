@@ -772,7 +772,31 @@ let reject_tests =
               bad_join addr;
           ]
         in
-        ignore (cluster_run ~extra_clients:clients ());
+        (* The one real worker starts only once every probe holds a
+           reply: workers that could drain the campaign before a probe
+           first connects would let the coordinator return and unlink
+           the socket under it. *)
+        let gated_worker addr =
+          Domain.spawn (fun () ->
+              let no_reply r = !r = Error "no reply" in
+              let deadline = Unix.gettimeofday () +. 30. in
+              while
+                List.exists no_reply [ bad_version; bad_digest; bad_join ]
+                && Unix.gettimeofday () < deadline
+              do
+                Unix.sleepf 0.005
+              done;
+              let make (w : Cluster.Protocol.welcome) =
+                Ok
+                  (Propane.Runner.executor ~seed:w.Cluster.Protocol.seed
+                     (scaler_sut ()) scaler_campaign)
+              in
+              Cluster.Worker.run ~connect:addr ~make ())
+        in
+        ignore
+          (cluster_run ~worker_hooks:[]
+             ~extra_clients:(fun addr -> clients addr @ [ gated_worker addr ])
+             ());
         let check name needle r =
           match !r with
           | Ok reason ->
@@ -824,6 +848,29 @@ let reject_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Local worker pool                                                   *)
+
+let local_tests =
+  [
+    Alcotest.test_case "shutdown lets an exiting worker finish" `Quick
+      (fun () ->
+        (* A worker told [Done] may still be writing something on its
+           way out; shutdown must not signal it before it exits. *)
+        let path = tmp_path ".done" in
+        let pool =
+          Cluster.Local.spawn
+            ~command:
+              [| "/bin/sh"; "-c"; "sleep 0.1; : > " ^ Filename.quote path |]
+            ~n:1 ()
+        in
+        Cluster.Local.shutdown pool;
+        let finished = Sys.file_exists path in
+        if finished then Sys.remove path;
+        Alcotest.(check bool) "worker ran to its own exit" true finished;
+        Alcotest.(check int) "reaped" 0 (Cluster.Local.alive pool));
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "cluster"
@@ -833,4 +880,5 @@ let () =
       ("address", address_tests);
       ("integration", integration_tests);
       ("reject", reject_tests);
+      ("local", local_tests);
     ]

@@ -29,12 +29,12 @@ let contains_substring haystack needle =
    API; this shim keeps the flat labels the test bodies were written
    with while exercising exactly the packaged-config entry point. *)
 let runner ?max_ms ?seed ?truncate_after_ms ?run_timeout_ms ?retries
-    ?fail_fast ?jobs ?journal ?resume ?journal_batch ?keep_traces ?stop_when
-    ?on_event ?on_run_traces ?live sut campaign =
+    ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when ?on_event
+    ?on_run_traces ?live sut campaign =
   let config =
     Propane.Runner.Config.make ?max_ms ?seed ?truncate_after_ms
       ?run_timeout_ms ?retries ?fail_fast ?jobs ?journal ?resume
-      ?journal_batch ?keep_traces ?stop_when ()
+      ?journal_batch ?stop_when ()
   in
   Propane.Runner.run ~config ?on_event ?on_run_traces ?live sut campaign
 
@@ -1072,7 +1072,7 @@ let runner_tests =
         in
         let captured = ref None in
         let (_ : Propane.Results.t) =
-          runner ~keep_traces:true
+          runner
             ~on_run_traces:(fun ~index:_ ts -> captured := Some ts)
             (scaler_sut ()) campaign
         in
@@ -1105,10 +1105,15 @@ let runner_tests =
                  delay_ms = 1;
                }));
     check_raises_invalid "unknown target rejected" (fun () ->
-        Propane.Runner.injection_run (scaler_sut ()) ~duration_ms:10
+        let sut = scaler_sut () in
+        let recorder, _traces =
+          Propane.Observer.recorder ~signals:(Propane.Sut.signal_names sut)
+        in
+        Propane.Runner.observed_run sut ~duration_ms:10
           (Propane.Testcase.make ~id:"t" ~params:[])
           (Propane.Injection.make ~target:"zz" ~at:Sim.Sim_time.zero
-             ~error:(Propane.Error_model.Bit_flip 0)));
+             ~error:(Propane.Error_model.Bit_flip 0))
+          recorder);
     Alcotest.test_case "campaigns are deterministic for a seed" `Quick
       (fun () ->
         let run () =
@@ -1240,8 +1245,9 @@ let runner_tests =
           runner ~seed:5L (scaler_sut ()) scaler_campaign
         in
         let kept =
-          runner ~seed:5L ~keep_traces:true (scaler_sut ())
-            scaler_campaign
+          runner ~seed:5L
+            ~on_run_traces:(fun ~index:_ _ -> ())
+            (scaler_sut ()) scaler_campaign
         in
         let par =
           runner ~seed:5L ~jobs:4 (scaler_sut ()) scaler_campaign
@@ -1254,11 +1260,11 @@ let runner_tests =
           (outcomes streaming = outcomes par));
     Alcotest.test_case "streaming and keep-traces journals are byte-identical"
       `Quick (fun () ->
-        let journal_of ~keep_traces =
+        let journal_of ?on_run_traces () =
           let path = Filename.temp_file "propane_stream" ".journal" in
           let _ =
-            runner ~seed:11L ~journal:path ~keep_traces
-              (scaler_sut ()) scaler_campaign
+            runner ~seed:11L ~journal:path ?on_run_traces (scaler_sut ())
+              scaler_campaign
           in
           let contents =
             In_channel.with_open_bin path In_channel.input_all
@@ -1268,8 +1274,8 @@ let runner_tests =
         in
         Alcotest.(check bool)
           "same bytes" true
-          (String.equal (journal_of ~keep_traces:false)
-             (journal_of ~keep_traces:true)));
+          (String.equal (journal_of ())
+             (journal_of ~on_run_traces:(fun ~index:_ _ -> ()) ())));
     Alcotest.test_case "on_run_traces sees every run in full" `Quick (fun () ->
         let seen = ref 0 in
         let _ =
@@ -1284,6 +1290,26 @@ let runner_tests =
         Alcotest.(check int)
           "all runs" (Propane.Campaign.size scaler_campaign)
           !seen);
+    Alcotest.test_case "on_run_traces fires before the run's Run_done" `Quick
+      (fun () ->
+        List.iter
+          (fun jobs ->
+            let traced = ref (-1) and checked = ref 0 in
+            let _ =
+              runner ~seed:7L ~jobs
+                ~on_run_traces:(fun ~index _ -> traced := index)
+                ~on_event:(function
+                  | Propane.Runner.Run_done { index; _ } ->
+                      incr checked;
+                      Alcotest.(check int) "traces just delivered" index
+                        !traced
+                  | _ -> ())
+                (scaler_sut ()) scaler_campaign
+            in
+            Alcotest.(check int)
+              "all runs" (Propane.Campaign.size scaler_campaign)
+              !checked)
+          [ 1; 2 ]);
     Alcotest.test_case "parallel runs emit events from the coordinator" `Quick
       (fun () ->
         let size = Propane.Campaign.size scaler_campaign in
@@ -2705,6 +2731,26 @@ let live_tests =
             Alcotest.(check bool)
               "resumed past the stop point" true
               (Propane.Results.count resumed > Propane.Results.count stopped)));
+    Alcotest.test_case "stopped journal resumed with jobs and the same rule"
+      `Quick (fun () ->
+        with_temp (fun path ->
+            let mk_live () =
+              Propane.Live.create ~model:scale_model
+                ~targets:scaler_campaign.Propane.Campaign.targets ()
+            in
+            let stopped =
+              runner ~seed:7L ~journal:path ~live:(mk_live ())
+                ~stop_when:(`Rankings_stable 5)
+                (scaler_sut ()) scaler_campaign
+            in
+            (* The replayed prefix already satisfies the rule, so the
+               domain pool must hand out nothing and return. *)
+            let resumed =
+              runner ~seed:7L ~journal:path ~resume:true ~jobs:2
+                ~live:(mk_live ()) ~stop_when:(`Rankings_stable 5)
+                (scaler_sut ()) scaler_campaign
+            in
+            check_same_results "resume adds no runs" stopped resumed));
     Alcotest.test_case "parallel runner with live analysis matches serial"
       `Quick (fun () ->
         let serial =
@@ -3157,7 +3203,7 @@ let fault_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Runner.Config: the packaged campaign options, their wire codec and
-   the deprecated flat-argument wrapper.                               *)
+   the legacy recipe fields it still accepts.                               *)
 
 let config_tests =
   let module C = Propane.Runner.Config in
@@ -3172,7 +3218,7 @@ let config_tests =
     roundtrip "encode/decode round-trips a fully customised config"
       (C.make ~max_ms:123 ~seed:99L ~truncate_after_ms:7 ~run_timeout_ms:44
          ~retries:3 ~fail_fast:true ~jobs:5 ~journal_batch:17
-         ~keep_traces:true ~stop_when:(`Rankings_stable 9) ());
+         ~stop_when:(`Rankings_stable 9) ());
     roundtrip "ci-width stop rules survive the codec bit-exactly"
       (C.make ~stop_when:(`Ci_width 0.12345678901234567) ());
     Alcotest.test_case "journal and resume stay host-local" `Quick (fun () ->
@@ -3186,6 +3232,24 @@ let config_tests =
               "journal dropped" true
               (c'.C.journal = None && not c'.C.resume);
             Alcotest.(check int) "jobs kept" 2 c'.C.jobs);
+    Alcotest.test_case "decode accepts and ignores a legacy keep_traces field"
+      `Quick (fun () ->
+        (* Recipes written before the record-everything switch was
+           retired still carry it; their journals and service manifests
+           must keep replaying and resuming. *)
+        let c = C.make ~seed:7L ~jobs:2 () in
+        let encoded = C.encode c in
+        Alcotest.(check bool)
+          "encode no longer emits the field" false
+          (contains_substring encoded "keep_traces");
+        List.iter
+          (fun legacy ->
+            match C.decode (encoded ^ ",keep_traces=" ^ legacy) with
+            | Ok c' ->
+                Alcotest.(check bool)
+                  ("keep_traces=" ^ legacy ^ " ignored") true (c = c')
+            | Error msg -> Alcotest.failf "legacy recipe rejected: %s" msg)
+          [ "true"; "false" ]);
     Alcotest.test_case "decode rejects unknown fields" `Quick (fun () ->
         match C.decode "max_ms=5,flux_capacitor=1" with
         | Error _ -> ()
